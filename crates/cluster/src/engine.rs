@@ -21,12 +21,14 @@
 //! random draws happen during event processing, so the fault stream is
 //! equally window-invariant.
 
+use std::collections::VecDeque;
+
 use crate::event::{EventKind, EventQueue, QueueKind, DYN_SEQ_BASE};
 use crate::faults::{
     attempt_duration, backoff_penalty, progress_saved, FaultInjector, FaultSpec, RecoveryPolicy,
 };
 use crate::job::{AbandonedJob, CompletedJob, Job};
-use crate::sched::{requeue, select, Policy, QueuedJob, RunningJob};
+use crate::sched::{requeue, select, Policy, QueuedJob, Running, RunningJob};
 use crate::sim::Outcome;
 use crate::{Error, Result};
 
@@ -43,8 +45,10 @@ pub struct Engine {
     /// window-0 reseed, so the TTF draws come from the right stream.
     armed: bool,
     free: usize,
-    queue: Vec<QueuedJob>,
-    running: Vec<RunningJob>,
+    /// Waiting jobs by priority. A deque, so starting the head job is
+    /// O(1) however deep the queue is.
+    queue: VecDeque<QueuedJob>,
+    running: Running,
     /// Arena of injected jobs; event payloads index into it.
     jobs: Vec<Job>,
     // Per-job mutable state, indexed like `jobs`.
@@ -88,8 +92,8 @@ impl Engine {
             events: EventQueue::with_kind(queue),
             armed: false,
             free: nodes,
-            queue: Vec::new(),
-            running: Vec::new(),
+            queue: VecDeque::new(),
+            running: Running::new(),
             jobs: Vec::new(),
             attempts: Vec::new(),
             wasted: Vec::new(),
@@ -250,7 +254,7 @@ impl Engine {
                 if self.attempts[job] != attempt {
                     return;
                 }
-                let Some(pos) = self.running.iter().position(|r| r.job_idx == job) else {
+                let Some(pos) = self.running.position(job) else {
                     return;
                 };
                 let r = self.running.swap_remove(pos);
@@ -278,7 +282,7 @@ impl Engine {
                 self.push_dyn(now + self.spec.repair_time, EventKind::NodeRepair { node });
                 let busy = self.up - self.free;
                 if self.inj.failure_hits_busy(busy, self.up) {
-                    let weights: Vec<usize> = self.running.iter().map(|r| r.nodes).collect();
+                    let weights: Vec<usize> = self.running.jobs().iter().map(|r| r.nodes).collect();
                     let victim = self.inj.pick_victim(&weights);
                     let r = self.running.remove(victim);
                     // The victim's nodes come back idle, minus the one
@@ -309,7 +313,7 @@ impl Engine {
                 if self.attempts[job] != attempt {
                     return;
                 }
-                let Some(pos) = self.running.iter().position(|r| r.job_idx == job) else {
+                let Some(pos) = self.running.position(job) else {
                     return;
                 };
                 let r = self.running.remove(pos);
@@ -367,13 +371,17 @@ impl Engine {
 
     /// Lets the policy start whatever it can after any state change.
     fn schedule(&mut self, now: f64) {
-        let starts = select(self.policy, &self.queue, &self.running, self.free, now);
+        let queue = self.queue.make_contiguous();
+        let starts = select(self.policy, queue, &self.running, self.free, now);
         debug_assert!(
             starts.windows(2).all(|w| w[0] < w[1]),
             "policies return sorted unique positions"
         );
         for &pos in starts.iter().rev() {
-            let qj = self.queue.remove(pos);
+            let qj = self
+                .queue
+                .remove(pos)
+                .expect("selected positions are in the queue");
             let job = qj.job_idx;
             debug_assert!(qj.nodes <= self.free, "policy over-committed nodes");
             self.free -= qj.nodes;

@@ -1,9 +1,38 @@
-//! Scheduling policies: FCFS, shortest-job-first, and EASY backfill.
+//! Scheduling policies: FCFS, shortest-job-first, and EASY and
+//! conservative backfill.
 //!
-//! The policy function is pure: given the waiting queue, the running set,
-//! and the node counts, it returns which queued jobs to start *now*. The
-//! simulator owns all state mutation, which keeps policies trivially
-//! testable.
+//! A policy is a pure function: given the waiting queue, the [`Running`]
+//! set, and the free node count, it returns which queued jobs to start
+//! *now*. The engine owns all state mutation, which keeps policies
+//! trivially testable.
+//!
+//! # The running set and its finish order
+//!
+//! [`Running`] holds the running jobs in the engine's own order (starts
+//! append; a finish swap-removes; a kill removes in place). Node-failure
+//! victims are picked by position in that order. Beside it, `Running`
+//! keeps a finish-ordered index, updated on every start, finish and
+//! kill, so the backfill policies never collect and sort finish times
+//! per pass:
+//!
+//! - **EASY** walks a prefix of the index up to the head job's shadow
+//!   time. A job whose expected finish has already passed (an attempt
+//!   that overran its estimate) counts as finishing `now`. The backfill
+//!   scan of the queue stops as soon as no node is free.
+//! - **Tie rule.** When the head's reservation is met inside a group of
+//!   equal (clamped) finish times, the group is resolved in running order
+//!   — exactly what a stable sort of the running jobs by finish time
+//!   gives. The spare-node count of the reservation depends on it.
+//! - **Conservative** seeds its availability profile from the index and
+//!   inserts each reservation at its sorted position. Equal-time releases
+//!   are all positive, so their relative order cannot change any
+//!   availability minimum.
+//!
+//! The allocate-and-sort versions of both backfill policies survive as
+//! the test-only `reference` module, and property tests hold the
+//! incremental ones to them.
+
+use std::collections::VecDeque;
 
 /// Which scheduling policy to simulate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -62,7 +91,7 @@ pub struct QueuedJob {
 /// after any existing entries with an equal priority (so first-come order is
 /// preserved among ties, and a requeue never leapfrogs a same-priority
 /// arrival).
-pub fn requeue(queue: &mut Vec<QueuedJob>, job: QueuedJob) {
+pub fn requeue(queue: &mut VecDeque<QueuedJob>, job: QueuedJob) {
     let at = queue.partition_point(|q| q.priority <= job.priority);
     queue.insert(at, job);
 }
@@ -79,12 +108,112 @@ pub struct RunningJob {
     pub expected_finish: f64,
 }
 
+/// The running jobs, in running order, plus a finish-ordered index of
+/// the same jobs (see the module docs).
+#[derive(Debug, Default)]
+pub struct Running {
+    /// Running order: the order victim picking and tie-breaking see.
+    jobs: Vec<RunningJob>,
+    /// The same jobs sorted by `expected_finish` (ties in no particular
+    /// order).
+    by_finish: Vec<RunningJob>,
+}
+
+impl Running {
+    /// An empty running set.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The running jobs, in running order.
+    pub fn jobs(&self) -> &[RunningJob] {
+        &self.jobs
+    }
+
+    /// Position of job `job_idx` in running order.
+    pub fn position(&self, job_idx: usize) -> Option<usize> {
+        self.jobs.iter().position(|r| r.job_idx == job_idx)
+    }
+
+    /// Appends a started job.
+    pub fn push(&mut self, r: RunningJob) {
+        self.jobs.push(r);
+        let at = self
+            .by_finish
+            .partition_point(|e| e.expected_finish <= r.expected_finish);
+        self.by_finish.insert(at, r);
+    }
+
+    /// Removes the job at `pos`, moving the last job into its place (a
+    /// finish).
+    pub fn swap_remove(&mut self, pos: usize) -> RunningJob {
+        let r = self.jobs.swap_remove(pos);
+        self.unindex(&r);
+        r
+    }
+
+    /// Removes the job at `pos`, keeping the order of the rest (a kill).
+    pub fn remove(&mut self, pos: usize) -> RunningJob {
+        let r = self.jobs.remove(pos);
+        self.unindex(&r);
+        r
+    }
+
+    fn unindex(&mut self, r: &RunningJob) {
+        let from = self
+            .by_finish
+            .partition_point(|e| e.expected_finish < r.expected_finish);
+        let at = from
+            + self.by_finish[from..]
+                .iter()
+                .position(|e| e.job_idx == r.job_idx)
+                .expect("every running job is indexed");
+        self.by_finish.remove(at);
+    }
+
+    /// EASY's reservation for a head job needing `need` nodes when `free`
+    /// are free now: the shadow time at which, by expected finishes
+    /// clamped to `now`, enough nodes are free, and how many nodes beyond
+    /// `need` are free then. `None` if the running jobs never free enough.
+    fn reservation(&self, free: usize, need: usize, now: f64) -> Option<(f64, usize)> {
+        let mut avail = free;
+        let mut i = 0;
+        while i < self.by_finish.len() {
+            // The group of jobs sharing this clamped finish time. Clamping
+            // is monotone, so the group is a contiguous run of the index.
+            let t = self.by_finish[i].expected_finish.max(now);
+            let group = self.by_finish[i..]
+                .iter()
+                .take_while(|e| e.expected_finish.max(now) == t);
+            let (len, nodes) = group.fold((0, 0), |(n, s), e| (n + 1, s + e.nodes));
+            if avail + nodes >= need {
+                if len == 1 {
+                    return Some((t, avail + nodes - need));
+                }
+                // Met inside a tie: walk the group in running order.
+                for r in &self.jobs {
+                    if r.expected_finish.max(now) == t {
+                        avail += r.nodes;
+                        if avail >= need {
+                            return Some((t, avail - need));
+                        }
+                    }
+                }
+                unreachable!("the group holds enough nodes");
+            }
+            avail += nodes;
+            i += len;
+        }
+        None
+    }
+}
+
 /// Selects queue *positions* to start now, in start order. Positions refer
 /// to `queue` as passed in; the caller removes them afterwards.
 pub fn select(
     policy: Policy,
     queue: &[QueuedJob],
-    running: &[RunningJob],
+    running: &Running,
     free_nodes: usize,
     now: f64,
 ) -> Vec<usize> {
@@ -111,25 +240,34 @@ struct Profile {
 }
 
 impl Profile {
-    fn new(free_now: usize, running: &[RunningJob], now: f64) -> Self {
-        let mut deltas: Vec<(f64, i64)> = running
+    fn new(free_now: usize, running: &Running, now: f64) -> Self {
+        // The index is sorted by finish time, and clamping to `now` keeps
+        // it sorted.
+        let deltas = running
+            .by_finish
             .iter()
             .map(|r| (r.expected_finish.max(now), r.nodes as i64))
             .collect();
-        deltas.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite times"));
         Profile {
             deltas,
             base: free_now as i64,
         }
     }
 
-    /// Candidate start times: `now` plus every future change point.
-    fn candidates(&self, now: f64) -> Vec<f64> {
-        let mut c = vec![now];
-        c.extend(self.deltas.iter().map(|&(t, _)| t).filter(|&t| t > now));
-        c.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
-        c.dedup();
-        c
+    /// Candidate start times, ascending and distinct: `now` plus every
+    /// future change point.
+    fn candidates(&self, now: f64) -> impl Iterator<Item = f64> + '_ {
+        let mut last = now;
+        // The deltas are sorted, so skipping repeats leaves each distinct
+        // time past `now` once.
+        let distinct = move |&t: &f64| {
+            let fresh = t > last;
+            if fresh {
+                last = t;
+            }
+            fresh
+        };
+        std::iter::once(now).chain(self.deltas.iter().map(|d| d.0).filter(distinct))
     }
 
     /// Minimum availability over the window `[start, start + dur)`.
@@ -160,27 +298,28 @@ impl Profile {
         min
     }
 
+    /// Inserts one change after every existing change at or before its
+    /// time — where a stable sort of the appended change would put it.
+    fn insert(&mut self, t: f64, d: i64) {
+        let at = self.deltas.partition_point(|x| x.0 <= t);
+        self.deltas.insert(at, (t, d));
+    }
+
     /// Reserves `nodes` over `[start, start + dur)`.
     fn reserve(&mut self, start: f64, dur: f64, nodes: usize) {
-        self.deltas.push((start, -(nodes as i64)));
-        self.deltas.push((start + dur, nodes as i64));
-        self.deltas
-            .sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite times"));
+        self.insert(start, -(nodes as i64));
+        self.insert(start + dur, nodes as i64);
     }
 }
 
-fn conservative(queue: &[QueuedJob], running: &[RunningJob], free: usize, now: f64) -> Vec<usize> {
+fn conservative(queue: &[QueuedJob], running: &Running, free: usize, now: f64) -> Vec<usize> {
     let mut profile = Profile::new(free, running, now);
     let mut starts = Vec::new();
     for (pos, j) in queue.iter().enumerate() {
         // Earliest profile slot with capacity for the whole estimated run.
-        let mut assigned = None;
-        for t in profile.candidates(now) {
-            if profile.min_avail(t, j.estimate) >= j.nodes as i64 {
-                assigned = Some(t);
-                break;
-            }
-        }
+        let assigned = profile
+            .candidates(now)
+            .find(|&t| profile.min_avail(t, j.estimate) >= j.nodes as i64);
         // A valid trace always finds a slot once all running jobs drain;
         // absent one (job wider than the machine) skip it — the simulator
         // rejects such jobs up front.
@@ -228,7 +367,7 @@ fn sjf(queue: &[QueuedJob], mut free: usize) -> Vec<usize> {
     starts
 }
 
-fn easy(queue: &[QueuedJob], running: &[RunningJob], mut free: usize, now: f64) -> Vec<usize> {
+fn easy(queue: &[QueuedJob], running: &Running, mut free: usize, now: f64) -> Vec<usize> {
     let mut starts = Vec::new();
     let mut pos = 0;
     // Phase 1: start from the head while jobs fit (plain FCFS progress).
@@ -244,33 +383,20 @@ fn easy(queue: &[QueuedJob], running: &[RunningJob], mut free: usize, now: f64) 
     // reservation: the shadow time when enough nodes will be free (by
     // estimated completions), and how many nodes beyond its need will be
     // free then.
-    let head = queue[pos];
-    let mut finishes: Vec<(f64, usize)> = running
-        .iter()
-        .map(|r| (r.expected_finish.max(now), r.nodes))
-        .collect();
-    finishes.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite times"));
-    let mut avail = free;
-    let mut shadow = f64::INFINITY;
-    let mut extra = 0usize;
-    for (t, n) in finishes {
-        avail += n;
-        if avail >= head.nodes {
-            shadow = t;
-            extra = avail - head.nodes;
-            break;
-        }
-    }
-    if shadow.is_infinite() {
+    let Some((shadow, mut extra)) = running.reservation(free, queue[pos].nodes, now) else {
         // Head job can never run (wider than the machine) — the simulator
         // rejects such jobs up front, so treat as "no backfill possible".
         return starts;
-    }
+    };
     // Phase 3: backfill the rest of the queue in order. A job may start iff
     // it fits in the free nodes now AND it does not delay the reservation:
     // either it finishes by the shadow time, or it only uses nodes that
     // will still be spare at the shadow time.
     for (offset, j) in queue.iter().enumerate().skip(pos + 1) {
+        if free == 0 {
+            // Every job needs a node: nothing further can start.
+            break;
+        }
         if j.nodes > free {
             continue;
         }
@@ -287,9 +413,117 @@ fn easy(queue: &[QueuedJob], running: &[RunningJob], mut free: usize, now: f64) 
     starts
 }
 
+/// The allocate-and-sort backfill policies that [`Running`]'s index
+/// replaced, kept as the oracle the property tests compare against.
+#[cfg(test)]
+mod reference {
+    use super::{Profile, QueuedJob, RunningJob};
+
+    fn sort_by_time<T>(v: &mut [(f64, T)]) {
+        v.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite times"));
+    }
+
+    pub fn easy(
+        queue: &[QueuedJob],
+        running: &[RunningJob],
+        mut free: usize,
+        now: f64,
+    ) -> Vec<usize> {
+        let mut starts = Vec::new();
+        let mut pos = 0;
+        while pos < queue.len() && queue[pos].nodes <= free {
+            free -= queue[pos].nodes;
+            starts.push(pos);
+            pos += 1;
+        }
+        if pos >= queue.len() {
+            return starts;
+        }
+        let head = queue[pos];
+        let mut finishes: Vec<(f64, usize)> = running
+            .iter()
+            .map(|r| (r.expected_finish.max(now), r.nodes))
+            .collect();
+        sort_by_time(&mut finishes);
+        let mut avail = free;
+        let mut shadow = f64::INFINITY;
+        let mut extra = 0usize;
+        for (t, n) in finishes {
+            avail += n;
+            if avail >= head.nodes {
+                shadow = t;
+                extra = avail - head.nodes;
+                break;
+            }
+        }
+        if shadow.is_infinite() {
+            return starts;
+        }
+        for (offset, j) in queue.iter().enumerate().skip(pos + 1) {
+            if j.nodes > free {
+                continue;
+            }
+            let finishes_in_time = now + j.estimate <= shadow;
+            let uses_spare_nodes = j.nodes <= extra;
+            if finishes_in_time || uses_spare_nodes {
+                free -= j.nodes;
+                if uses_spare_nodes && !finishes_in_time {
+                    extra -= j.nodes;
+                }
+                starts.push(offset);
+            }
+        }
+        starts
+    }
+
+    pub fn conservative(
+        queue: &[QueuedJob],
+        running: &[RunningJob],
+        free: usize,
+        now: f64,
+    ) -> Vec<usize> {
+        let mut deltas: Vec<(f64, i64)> = running
+            .iter()
+            .map(|r| (r.expected_finish.max(now), r.nodes as i64))
+            .collect();
+        sort_by_time(&mut deltas);
+        let mut profile = Profile {
+            deltas,
+            base: free as i64,
+        };
+        let mut starts = Vec::new();
+        for (pos, j) in queue.iter().enumerate() {
+            let mut candidates = vec![now];
+            candidates.extend(profile.deltas.iter().map(|&(t, _)| t).filter(|&t| t > now));
+            candidates.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
+            candidates.dedup();
+            let assigned = candidates
+                .into_iter()
+                .find(|&t| profile.min_avail(t, j.estimate) >= j.nodes as i64);
+            let Some(t) = assigned else { continue };
+            profile.deltas.push((t, -(j.nodes as i64)));
+            profile.deltas.push((t + j.estimate, j.nodes as i64));
+            sort_by_time(&mut profile.deltas);
+            if t <= now {
+                starts.push(pos);
+            }
+        }
+        starts
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A running set holding `jobs` in this running order.
+    fn set(jobs: &[RunningJob]) -> Running {
+        let mut s = Running::new();
+        for &r in jobs {
+            s.push(r);
+        }
+        s
+    }
 
     fn q(job_idx: usize, nodes: usize, estimate: f64) -> QueuedJob {
         QueuedJob {
@@ -303,6 +537,14 @@ mod tests {
     fn r(nodes: usize, expected_finish: f64) -> RunningJob {
         RunningJob {
             job_idx: 99,
+            nodes,
+            expected_finish,
+        }
+    }
+
+    fn rj(job_idx: usize, nodes: usize, expected_finish: f64) -> RunningJob {
+        RunningJob {
+            job_idx,
             nodes,
             expected_finish,
         }
@@ -324,7 +566,7 @@ mod tests {
         // nodes J0 needs at t=100 -> must NOT start.
         let running = [r(6, 100.0)];
         let queue = [q(0, 4, 50.0), q(1, 2, 40.0), q(2, 2, 500.0)];
-        assert_eq!(conservative(&queue, &running, 2, 0.0), vec![1]);
+        assert_eq!(conservative(&queue, &set(&running), 2, 0.0), vec![1]);
     }
 
     #[test]
@@ -344,22 +586,22 @@ mod tests {
         // accept the harmless 8s job.
         let running = [r(6, 10.0)];
         let queue = [q(0, 8, 5.0), q(1, 4, 100.0), q(2, 2, 8.0)];
-        assert_eq!(easy(&queue, &running, 2, 0.0), vec![2]);
-        assert_eq!(conservative(&queue, &running, 2, 0.0), vec![2]);
+        assert_eq!(easy(&queue, &set(&running), 2, 0.0), vec![2]);
+        assert_eq!(conservative(&queue, &set(&running), 2, 0.0), vec![2]);
     }
 
     #[test]
     fn conservative_starts_everything_when_machine_is_empty() {
         let queue = [q(0, 2, 10.0), q(1, 2, 10.0), q(2, 4, 10.0)];
-        assert_eq!(conservative(&queue, &[], 8, 5.0), vec![0, 1, 2]);
+        assert_eq!(conservative(&queue, &Running::new(), 8, 5.0), vec![0, 1, 2]);
         // And respects capacity when it cannot fit all.
-        assert_eq!(conservative(&queue, &[], 4, 5.0), vec![0, 1]);
+        assert_eq!(conservative(&queue, &Running::new(), 4, 5.0), vec![0, 1]);
     }
 
     #[test]
     fn profile_min_avail_windows() {
         let running = [r(4, 10.0), r(2, 20.0)];
-        let p = Profile::new(2, &running, 0.0);
+        let p = Profile::new(2, &set(&running), 0.0);
         // Now: 2 free. After t=10: 6. After t=20: 8.
         assert_eq!(p.min_avail(0.0, 5.0), 2);
         assert_eq!(p.min_avail(0.0, 15.0), 2);
@@ -408,7 +650,7 @@ mod tests {
             q(1, 2, 60.0),  // fits now; 60 <= 100? finishes in time -> backfill
             q(2, 2, 500.0), // fits "now" only if spare nodes remain
         ];
-        let starts = easy(&queue, &running, 2, 0.0);
+        let starts = easy(&queue, &set(&running), 2, 0.0);
         // Job1 backfills (finishes by shadow). Job2 then has 0 free nodes.
         assert_eq!(starts, vec![1]);
     }
@@ -419,17 +661,17 @@ mod tests {
         // extra = 0. A long 2-node job would delay the head (needs all 8)…
         let running = [r(4, 100.0)];
         let queue = [q(0, 8, 10.0), q(1, 2, 1000.0)];
-        assert_eq!(easy(&queue, &running, 4, 0.0), Vec::<usize>::new());
+        assert_eq!(easy(&queue, &set(&running), 4, 0.0), Vec::<usize>::new());
         // …but if the head only needs 6, extra = (4+4)-6 = 2 spare nodes, so
         // the long 2-node job may run forever without delaying it.
         let queue = [q(0, 6, 10.0), q(1, 2, 1000.0)];
-        assert_eq!(easy(&queue, &running, 4, 0.0), vec![1]);
+        assert_eq!(easy(&queue, &set(&running), 4, 0.0), vec![1]);
     }
 
     #[test]
     fn easy_starts_head_when_it_fits() {
         let queue = [q(0, 2, 10.0), q(1, 2, 10.0)];
-        assert_eq!(easy(&queue, &[], 8, 0.0), vec![0, 1]);
+        assert_eq!(easy(&queue, &Running::new(), 8, 0.0), vec![0, 1]);
     }
 
     #[test]
@@ -438,12 +680,12 @@ mod tests {
         // Shadow = 50. A 30s short job backfills; a 60s one does not.
         let running = [r(4, 50.0)];
         let queue = [q(0, 6, 10.0), q(1, 3, 30.0), q(2, 3, 60.0)];
-        assert_eq!(easy(&queue, &running, 4, 0.0), vec![1]);
+        assert_eq!(easy(&queue, &set(&running), 4, 0.0), vec![1]);
     }
 
     #[test]
     fn requeue_keeps_priority_order_and_is_stable() {
-        let mut queue = Vec::new();
+        let mut queue = VecDeque::new();
         requeue(
             &mut queue,
             QueuedJob {
@@ -490,7 +732,7 @@ mod tests {
         // Fresh arrivals pop in submit order, so sorted insert must reduce
         // to a plain push — this is what keeps fault-free runs with the
         // faulty event loop byte-identical to the plain loop.
-        let mut queue = Vec::new();
+        let mut queue = VecDeque::new();
         for (i, p) in [1.0, 2.0, 2.0, 5.0].iter().enumerate() {
             requeue(
                 &mut queue,
@@ -508,7 +750,147 @@ mod tests {
     fn select_dispatches() {
         let queue = [q(0, 1, 5.0)];
         for p in Policy::ALL {
-            assert_eq!(select(p, &queue, &[], 4, 0.0), vec![0], "{p:?}");
+            assert_eq!(select(p, &queue, &Running::new(), 4, 0.0), vec![0], "{p:?}");
+        }
+    }
+
+    #[test]
+    fn reservation_met_inside_a_tie_follows_running_order() {
+        // Two jobs finish together at t=10; the head needs 3 nodes and
+        // none are free. Taking the 2-node job first, the 4-node job
+        // completes the reservation with 3 spare; the other way round the
+        // 4-node job alone meets it with 1 spare.
+        let a = rj(1, 2, 10.0);
+        let b = rj(2, 4, 10.0);
+        assert_eq!(set(&[a, b]).reservation(0, 3, 0.0), Some((10.0, 3)));
+        assert_eq!(set(&[b, a]).reservation(0, 3, 0.0), Some((10.0, 1)));
+        // A finish swap-removes: removing the first of [x, a, b] moves b
+        // to the front, and the tie now resolves b first.
+        let mut s = set(&[rj(0, 1, 5.0), a, b]);
+        s.swap_remove(0);
+        assert_eq!(s.jobs(), &[b, a]);
+        assert_eq!(s.reservation(0, 3, 0.0), Some((10.0, 1)));
+        // Overrun jobs (expected finish already past) all count as
+        // finishing now, in running order too.
+        let s = set(&[rj(3, 4, 2.0), rj(4, 2, 1.0)]);
+        assert_eq!(s.reservation(0, 3, 7.0), Some((7.0, 1)));
+        assert_eq!(s.reservation(0, 7, 7.0), None);
+    }
+
+    mod equivalence_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Times on a coarse grid, so finish ties and overruns (a finish
+        /// at or before `now`) are common, mixed with arbitrary ones.
+        fn time() -> impl Strategy<Value = f64> {
+            prop_oneof![
+                (0u32..8).prop_map(|t| f64::from(t) * 10.0),
+                (0u32..100_000).prop_map(|t| f64::from(t) * 0.001),
+            ]
+        }
+
+        fn queue() -> impl Strategy<Value = Vec<QueuedJob>> {
+            proptest::collection::vec((1usize..=12, 1u32..=6), 0..40).prop_map(|v| {
+                v.into_iter()
+                    .enumerate()
+                    .map(|(i, (nodes, e))| QueuedJob {
+                        job_idx: 1000 + i,
+                        nodes,
+                        estimate: f64::from(e) * 10.0,
+                        priority: 0.0,
+                    })
+                    .collect()
+            })
+        }
+
+        /// One change to the running set: start a job, or finish
+        /// (swap-remove) or kill (remove) the one at an arbitrary
+        /// position.
+        #[derive(Debug, Clone, Copy)]
+        enum Op {
+            Start(usize, f64),
+            Finish(usize),
+            Kill(usize),
+        }
+
+        fn ops() -> impl Strategy<Value = Vec<Op>> {
+            // Starts are twice as likely as each removal, so sets grow.
+            let op = prop_oneof![
+                (1usize..=6, time()).prop_map(|(n, t)| Op::Start(n, t)),
+                (1usize..=6, time()).prop_map(|(n, t)| Op::Start(n, t)),
+                (0usize..64).prop_map(Op::Finish),
+                (0usize..64).prop_map(Op::Kill),
+            ];
+            proptest::collection::vec(op, 0..60)
+        }
+
+        /// Applies `ops` to a `Running` and to a plain `Vec` model of its
+        /// running order.
+        fn apply(ops: &[Op]) -> (Running, Vec<RunningJob>) {
+            let mut running = Running::new();
+            let mut model = Vec::new();
+            for (i, &op) in ops.iter().enumerate() {
+                let len = model.len();
+                match op {
+                    Op::Start(nodes, t) => {
+                        running.push(rj(i, nodes, t));
+                        model.push(rj(i, nodes, t));
+                    }
+                    Op::Finish(k) if len > 0 => {
+                        assert_eq!(running.swap_remove(k % len), model.swap_remove(k % len));
+                    }
+                    Op::Kill(k) if len > 0 => {
+                        assert_eq!(running.remove(k % len), model.remove(k % len));
+                    }
+                    Op::Finish(_) | Op::Kill(_) => {}
+                }
+            }
+            (running, model)
+        }
+
+        proptest! {
+            #![proptest_config(proptest::test_runner::Config::with_cases(256))]
+
+            #[test]
+            fn index_mirrors_the_running_order(ops in ops()) {
+                for k in 0..=ops.len() {
+                    let (running, model) = apply(&ops[..k]);
+                    prop_assert_eq!(running.jobs(), &model[..]);
+                    let idx = &running.by_finish;
+                    prop_assert!(idx.windows(2).all(|w| w[0].expected_finish <= w[1].expected_finish));
+                    let mut a = idx.clone();
+                    let mut b = model;
+                    a.sort_by_key(|r| r.job_idx);
+                    b.sort_by_key(|r| r.job_idx);
+                    prop_assert_eq!(a, b);
+                }
+            }
+
+            #[test]
+            fn backfill_matches_the_sorting_reference(
+                ops in ops(),
+                queue in queue(),
+                free in 0usize..10,
+                now in time(),
+            ) {
+                let (running, _) = apply(&ops);
+                let want = |f: fn(&[QueuedJob], &[RunningJob], usize, f64) -> Vec<usize>| {
+                    if queue.is_empty() || free == 0 {
+                        Vec::new()
+                    } else {
+                        f(&queue, running.jobs(), free, now)
+                    }
+                };
+                prop_assert_eq!(
+                    select(Policy::EasyBackfill, &queue, &running, free, now),
+                    want(reference::easy)
+                );
+                prop_assert_eq!(
+                    select(Policy::ConservativeBackfill, &queue, &running, free, now),
+                    want(reference::conservative)
+                );
+            }
         }
     }
 }
